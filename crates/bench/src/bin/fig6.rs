@@ -40,8 +40,9 @@ fn build(w: &workloads::Workload, adders: u32, p: f64) -> ScheduleResult {
 /// The Bernoulli inputs are drawn serially from the seeded stream, so
 /// the trace set is identical for any worker count; only the
 /// independent simulations fan out over `SPEC_MEASURE_THREADS` scoped
-/// threads (default: serial). Cycle totals are exact `u64` sums, so
-/// the reported mean is bit-identical at every parallelism.
+/// threads (default: serial), sharing one compiled simulator. Cycle
+/// totals are exact `u64` sums, so the reported mean is bit-identical at
+/// every parallelism.
 fn simulate(w: &workloads::Workload, stg: &stg::Stg, p: f64, runs: usize) -> f64 {
     let mut rng = Xoshiro256StarStar::seed_from_u64(99);
     let inputs: Vec<i64> = (0..runs)
@@ -56,9 +57,9 @@ fn simulate(w: &workloads::Workload, stg: &stg::Stg, p: f64, runs: usize) -> f64
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(1);
+    let sim = &hls_sim::StgSimulator::new(&w.cdfg, stg);
     let total: u64 = if threads <= 1 || inputs.len() <= 1 {
-        let sim = hls_sim::StgSimulator::new(&w.cdfg, stg);
-        inputs.iter().map(|&b| run_one(&sim, b)).sum()
+        inputs.iter().map(|&b| run_one(sim, b)).sum()
     } else {
         let chunk = inputs.len().div_ceil(threads);
         let mut sums = vec![0u64; inputs.len().div_ceil(chunk)];
@@ -66,8 +67,7 @@ fn simulate(w: &workloads::Workload, stg: &stg::Stg, p: f64, runs: usize) -> f64
             let run_one = &run_one;
             for (vs, out) in inputs.chunks(chunk).zip(sums.iter_mut()) {
                 s.spawn(move || {
-                    let sim = hls_sim::StgSimulator::new(&w.cdfg, stg);
-                    *out = vs.iter().map(|&b| run_one(&sim, b)).sum();
+                    *out = vs.iter().map(|&b| run_one(sim, b)).sum();
                 });
             }
         });

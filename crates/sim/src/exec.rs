@@ -61,40 +61,8 @@ pub fn execute_cdfg(
     mem_init: &HashMap<String, Vec<Value>>,
     step_limit: u64,
 ) -> Result<CdfgOutcome, ExecCdfgError> {
-    let by_name: HashMap<&str, Value> = inputs.iter().copied().collect();
-    let mut input_vals = Vec::new();
-    for (_, name) in g.inputs() {
-        input_vals.push(
-            by_name
-                .get(name.as_str())
-                .copied()
-                .ok_or_else(|| ExecCdfgError::MissingInput(name.clone()))?,
-        );
-    }
-    let mut ex = Exec {
-        g,
-        order: intra_topo_order(g).expect("validated CDFG"),
-        input_vals,
-        mems: g
-            .mems()
-            .iter()
-            .map(|m| {
-                let mut cells = mem_init.get(m.name()).cloned().unwrap_or_default();
-                cells.resize(m.size(), 0);
-                cells.truncate(m.size());
-                cells
-            })
-            .collect(),
-        outputs: vec![0; g.outputs().len()],
-        env: HashMap::new(),
-        prev: HashMap::new(),
-        first_iter: HashMap::new(),
-        ran_body: HashMap::new(),
-        cond_stats: HashMap::new(),
-        steps: 0,
-        step_limit,
-    };
-    ex.region(&[])?;
+    let plan = Plan::new(g);
+    let ex = Exec::run(g, &plan, inputs, mem_init, step_limit)?;
     Ok(CdfgOutcome {
         outputs: g
             .outputs()
@@ -106,61 +74,212 @@ pub fn execute_cdfg(
             .iter()
             .map(|m| (m.name().to_string(), ex.mems[m.id().index()].clone()))
             .collect(),
-        cond_stats: ex.cond_stats,
+        cond_stats: ex
+            .cond_stats
+            .iter()
+            .enumerate()
+            .filter(|(_, &(_, n))| n > 0)
+            .map(|(i, &tally)| (OpId::new(i as u32), tally))
+            .collect(),
         steps: ex.steps,
     })
 }
 
 /// Profiles `g` over a set of input vectors, producing the branch
 /// probabilities the scheduler consumes. Runs that exceed `step_limit`
-/// are skipped (their partial tallies are kept).
+/// are skipped, and their tallies with them.
 pub fn profile_cdfg(
     g: &Cdfg,
     runs: &[Vec<(&str, Value)>],
     mem_init: &HashMap<String, Vec<Value>>,
     step_limit: u64,
 ) -> BranchProbs {
-    let mut tally: HashMap<OpId, (u64, u64)> = HashMap::new();
+    let plan = Plan::new(g);
+    let mut tally = vec![(0u64, 0u64); g.ops().len()];
     for inputs in runs {
-        if let Ok(out) = execute_cdfg(g, inputs, mem_init, step_limit) {
-            for (op, (t, n)) in out.cond_stats {
-                let e = tally.entry(op).or_insert((0, 0));
+        if let Ok(ex) = Exec::run(g, &plan, inputs, mem_init, step_limit) {
+            for (e, &(t, n)) in tally.iter_mut().zip(&ex.cond_stats) {
                 e.0 += t;
                 e.1 += n;
             }
         }
     }
     let mut probs = BranchProbs::new();
-    for (op, (t, n)) in tally {
+    for (i, &(t, n)) in tally.iter().enumerate() {
         if n > 0 {
-            probs.set(op, t as f64 / n as f64);
+            probs.set(OpId::new(i as u32), t as f64 / n as f64);
         }
     }
     probs
 }
 
+/// One step of a region walk: evaluate an op, or run a directly nested
+/// loop to its exit.
+#[derive(Clone, Copy)]
+enum Item {
+    Op(OpId),
+    Loop(LoopId),
+}
+
+/// What one loop iteration walks.
+struct LoopPlan {
+    cond: OpId,
+    /// The condition cone, in topological order.
+    cone: Vec<OpId>,
+    /// The body without the cone, in topological first-encounter order.
+    body: Vec<Item>,
+    /// Every member, nested loops' included: the snapshot for carried
+    /// reads.
+    members: Vec<OpId>,
+}
+
+/// The static walk of a CDFG, computed once per call: the top-level
+/// region and every loop's cone and body as item lists, in the order a
+/// topological walk of the whole graph first reaches them. Loops are
+/// nested regions entered at fixed points, so the walk is the same for
+/// every input vector.
+struct Plan {
+    top: Vec<Item>,
+    /// `LoopId`-indexed.
+    loops: Vec<LoopPlan>,
+}
+
+impl Plan {
+    fn new(g: &Cdfg) -> Plan {
+        let order = intra_topo_order(g).expect("validated CDFG");
+        let mask = |ids: &[OpId]| {
+            let mut m = vec![false; g.ops().len()];
+            for id in ids {
+                m[id.index()] = true;
+            }
+            m
+        };
+        let loops = g
+            .loops()
+            .iter()
+            .map(|info| {
+                let in_cone = mask(info.cond_cone());
+                let member = mask(info.members());
+                let path = g.op(info.cond()).loop_path();
+                LoopPlan {
+                    cond: info.cond(),
+                    cone: order
+                        .iter()
+                        .copied()
+                        .filter(|id| in_cone[id.index()])
+                        .collect(),
+                    body: region_items(g, &order, path, |id| {
+                        member[id.index()] && !in_cone[id.index()]
+                    }),
+                    members: info.members().to_vec(),
+                }
+            })
+            .collect();
+        Plan {
+            top: region_items(g, &order, &[], |_| true),
+            loops,
+        }
+    }
+}
+
+/// The ops of `order` kept by `keep` whose loop path is `path`, and each
+/// loop directly nested in `path` at its first op, in `order`.
+fn region_items(
+    g: &Cdfg,
+    order: &[OpId],
+    path: &[LoopId],
+    keep: impl Fn(OpId) -> bool,
+) -> Vec<Item> {
+    let mut items = Vec::new();
+    let mut entered: Vec<LoopId> = Vec::new();
+    for &id in order.iter().filter(|&&id| keep(id)) {
+        let op_path = g.op(id).loop_path();
+        if op_path == path {
+            items.push(Item::Op(id));
+        } else if op_path.len() > path.len() && op_path.starts_with(path) {
+            let nested = op_path[path.len()];
+            if !entered.contains(&nested) {
+                entered.push(nested);
+                items.push(Item::Loop(nested));
+            }
+        }
+    }
+    items
+}
+
 struct Exec<'a> {
     g: &'a Cdfg,
-    order: Vec<OpId>,
+    plan: &'a Plan,
     input_vals: Vec<Value>,
     mems: Vec<Vec<Value>>,
     outputs: Vec<Value>,
-    /// Current value of every op (latest wave).
-    env: HashMap<OpId, Value>,
-    /// Per loop: the previous iteration's values of its members.
-    prev: HashMap<LoopId, HashMap<OpId, Value>>,
-    /// Per loop: executing its first iteration (carried ports read
-    /// inits).
-    first_iter: HashMap<LoopId, bool>,
-    /// Per loop: the body ran at least once (exit views read `prev`-era
-    /// values; else the init).
-    ran_body: HashMap<LoopId, bool>,
-    cond_stats: HashMap<OpId, (u64, u64)>,
+    /// `OpId`-indexed: current value of every op (latest wave).
+    env: Vec<Option<Value>>,
+    /// `LoopId`- then `OpId`-indexed: the previous iteration's values of
+    /// the loop's members.
+    prev: Vec<Vec<Option<Value>>>,
+    /// `LoopId`-indexed: executing its first iteration (carried ports
+    /// read inits).
+    first_iter: Vec<bool>,
+    /// `LoopId`-indexed: the body ran at least once (exit views read
+    /// body values; else the init).
+    ran_body: Vec<bool>,
+    /// `OpId`-indexed: (times true, times evaluated meaningfully).
+    cond_stats: Vec<(u64, u64)>,
+    /// Operand buffer, reused by every evaluation.
+    vals: Vec<Value>,
     steps: u64,
     step_limit: u64,
 }
 
-impl Exec<'_> {
+impl<'a> Exec<'a> {
+    /// Executes `plan` (built from `g`) on one input vector.
+    fn run(
+        g: &'a Cdfg,
+        plan: &'a Plan,
+        inputs: &[(&str, Value)],
+        mem_init: &HashMap<String, Vec<Value>>,
+        step_limit: u64,
+    ) -> Result<Exec<'a>, ExecCdfgError> {
+        let by_name: HashMap<&str, Value> = inputs.iter().copied().collect();
+        let mut input_vals = Vec::new();
+        for (_, name) in g.inputs() {
+            input_vals.push(
+                by_name
+                    .get(name.as_str())
+                    .copied()
+                    .ok_or_else(|| ExecCdfgError::MissingInput(name.clone()))?,
+            );
+        }
+        let n = g.ops().len();
+        let mut ex = Exec {
+            g,
+            plan,
+            input_vals,
+            mems: g
+                .mems()
+                .iter()
+                .map(|m| {
+                    let mut cells = mem_init.get(m.name()).cloned().unwrap_or_default();
+                    cells.resize(m.size(), 0);
+                    cells.truncate(m.size());
+                    cells
+                })
+                .collect(),
+            outputs: vec![0; g.outputs().len()],
+            env: vec![None; n],
+            prev: vec![vec![None; n]; g.loops().len()],
+            first_iter: vec![true; g.loops().len()],
+            ran_body: vec![false; g.loops().len()],
+            cond_stats: vec![(0, 0); n],
+            vals: Vec::new(),
+            steps: 0,
+            step_limit,
+        };
+        ex.items(&plan.top)?;
+        Ok(ex)
+    }
+
     fn tick(&mut self) -> Result<(), ExecCdfgError> {
         self.steps += 1;
         if self.steps > self.step_limit {
@@ -170,96 +289,63 @@ impl Exec<'_> {
         }
     }
 
-    /// Executes all ops whose loop path equals `path` in topological
-    /// order, recursing into directly nested loops when first reached.
-    fn region(&mut self, path: &[LoopId]) -> Result<(), ExecCdfgError> {
-        let order = self.order.clone();
-        let mut entered: Vec<LoopId> = Vec::new();
-        for id in order {
-            let op_path: Vec<LoopId> = self.g.op(id).loop_path().to_vec();
-            if op_path == path {
-                self.eval_op(id)?;
-            } else if op_path.len() > path.len() && op_path.starts_with(path) {
-                let nested = op_path[path.len()];
-                if !entered.contains(&nested) {
-                    entered.push(nested);
-                    self.exec_loop(nested)?;
-                }
+    fn items(&mut self, items: &[Item]) -> Result<(), ExecCdfgError> {
+        for &item in items {
+            match item {
+                Item::Op(id) => self.eval_op(id)?,
+                Item::Loop(l) => self.exec_loop(l)?,
             }
         }
         Ok(())
     }
 
     fn exec_loop(&mut self, l: LoopId) -> Result<(), ExecCdfgError> {
-        let info = self.g.loop_info(l);
-        let cond = info.cond();
-        let cone: Vec<OpId> = info.cond_cone().to_vec();
-        let members: Vec<OpId> = info.members().to_vec();
-        let path: Vec<LoopId> = self.g.op(cond).loop_path().to_vec();
-        self.first_iter.insert(l, true);
-        self.ran_body.insert(l, false);
+        let lp = &self.plan.loops[l.index()];
+        self.first_iter[l.index()] = true;
+        self.ran_body[l.index()] = false;
         loop {
             self.tick()?;
-            // Evaluate the condition cone (in topo order).
-            let order = self.order.clone();
-            for id in order.iter().copied() {
-                if cone.contains(&id) {
-                    self.eval_op(id)?;
-                }
+            for &id in &lp.cone {
+                self.eval_op(id)?;
             }
-            if self.env[&cond] == 0 {
+            if self.value(lp.cond) == 0 {
                 break;
             }
-            // Body: direct members in topo order, recursing into nested
-            // loops; cone ops were already evaluated.
-            let mut entered: Vec<LoopId> = Vec::new();
-            for id in order.iter().copied() {
-                if !members.contains(&id) || cone.contains(&id) {
-                    continue;
-                }
-                let op_path: Vec<LoopId> = self.g.op(id).loop_path().to_vec();
-                if op_path == path {
-                    self.eval_op(id)?;
-                } else if op_path.len() > path.len() && op_path.starts_with(&path) {
-                    let nested = op_path[path.len()];
-                    if !entered.contains(&nested) {
-                        entered.push(nested);
-                        self.exec_loop(nested)?;
-                    }
-                }
-            }
+            self.items(&lp.body)?;
             // Snapshot this iteration's values for next iteration's
             // carried reads.
-            let snap: HashMap<OpId, Value> = members
-                .iter()
-                .filter_map(|m| self.env.get(m).map(|&v| (*m, v)))
-                .collect();
-            self.prev.insert(l, snap);
-            self.first_iter.insert(l, false);
-            self.ran_body.insert(l, true);
+            let prev = &mut self.prev[l.index()];
+            for &m in &lp.members {
+                prev[m.index()] = self.env[m.index()];
+            }
+            self.first_iter[l.index()] = false;
+            self.ran_body[l.index()] = true;
         }
         Ok(())
     }
 
-    fn read_port(&self, consumer: OpId, p: &PortKind) -> Value {
+    fn value(&self, id: OpId) -> Value {
+        self.env[id.index()].expect("producer evaluated before its consumer")
+    }
+
+    fn read_port(&self, p: &PortKind) -> Value {
         match *p {
-            PortKind::Wire(s) => self.env[&s],
+            PortKind::Wire(s) => self.value(s),
             PortKind::Carried { lp, src, init } => {
-                if self.first_iter.get(&lp).copied().unwrap_or(true) {
-                    self.env[&init]
+                if self.first_iter[lp.index()] {
+                    self.value(init)
                 } else {
-                    self.prev[&lp][&src]
+                    self.prev[lp.index()][src.index()].expect("carried source snapshotted")
                 }
             }
             PortKind::Exit { lp, src, init } => {
-                let _ = consumer;
-                if self.ran_body.get(&lp).copied().unwrap_or(false) {
+                if self.ran_body[lp.index()] {
                     // Body values of the last completed iteration remain
                     // in env (the final cone evaluation only overwrote
                     // cone ops).
-                    self.env[&src]
+                    self.value(src)
                 } else {
-                    self.env[&init]
+                    self.value(init)
                 }
             }
         }
@@ -269,14 +355,16 @@ impl Exec<'_> {
         self.tick()?;
         let op = self.g.op(id);
         let kind = op.kind();
-        let vals: Vec<Value> = op.ports().iter().map(|p| self.read_port(id, p)).collect();
+        let mut vals = std::mem::take(&mut self.vals);
+        vals.clear();
+        vals.extend(op.ports().iter().map(|p| self.read_port(p)));
         // Side effects commit only when the realized branch conditions
         // hold (loop gating is implied by reaching this point).
         let branches_hold = op
             .ctrl_deps()
             .iter()
             .filter(|d| d.kind == CtrlKind::Branch)
-            .all(|d| (self.env[&d.cond] != 0) == d.polarity);
+            .all(|d| (self.value(d.cond) != 0) == d.polarity);
         let result = match kind {
             OpKind::Const(v) => v,
             OpKind::Input(i) => self.input_vals[i.index()],
@@ -301,10 +389,11 @@ impl Exec<'_> {
             }
             k => k.eval(&vals, None),
         };
-        self.env.insert(id, result);
+        self.vals = vals;
+        self.env[id.index()] = Some(result);
         // Profile: tally meaningful evaluations of conditionals.
         if op.is_conditional() && branches_hold {
-            let e = self.cond_stats.entry(id).or_insert((0, 0));
+            let e = &mut self.cond_stats[id.index()];
             if result != 0 {
                 e.0 += 1;
             }
@@ -389,6 +478,39 @@ mod tests {
             acc = s; }";
         let cd = exec(src, &[("n", 5)]);
         assert_eq!(cd.outputs["acc"], 10);
+        // Outer condition: 5 continues + 1 exit; inner: sum of i over
+        // 0..5 continues + one exit per outer iteration.
+        assert_eq!(tallies(&cd), vec![(2, (5, 6)), (5, (10, 15))]);
+        assert_eq!(cd.steps, 107);
+    }
+
+    /// `cond_stats` in op order, for exact comparison.
+    fn tallies(out: &CdfgOutcome) -> Vec<(usize, (u64, u64))> {
+        let mut v: Vec<_> = out
+            .cond_stats
+            .iter()
+            .map(|(op, &t)| (op.index(), t))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn carried_and_exit_ports_profile() {
+        // `s` and `i` are carried around the loop and read after it
+        // through exit views; n = 0 never runs the body, so the exit
+        // views read the inits.
+        let src = "design d { input n; output acc, last; var i = 0; var s = 0;
+            while (i < n) { if (i > 2) { s = s + i; } i = i + 1; }
+            acc = s; last = i; }";
+        let cd = exec(src, &[("n", 6)]);
+        assert_eq!((cd.outputs["acc"], cd.outputs["last"]), (12, 6));
+        assert_eq!(tallies(&cd), vec![(2, (6, 7)), (4, (3, 6))]);
+        assert_eq!(cd.steps, 56);
+        let cd = exec(src, &[("n", 0)]);
+        assert_eq!((cd.outputs["acc"], cd.outputs["last"]), (0, 0));
+        assert_eq!(tallies(&cd), vec![(2, (0, 1))]);
+        assert_eq!(cd.steps, 8);
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //!   [`stg::Stg`]: one controller state per clock cycle, speculative
 //!   operations execute unconditionally, condition outcomes select the
 //!   transition, fold-edge renames perform the register transfers. It
-//!   reports outputs, final memories, and the cycle count.
+//!   reports outputs, final memories, and the cycle count. The STG is
+//!   compiled once, at construction, into slot-addressed state programs
+//!   over a dense register file; runs share the compiled form.
 //! * [`exec`] — a direct CDFG executor, independent of the schedulers,
 //!   used as a second golden model and as the **profiler** that produces
 //!   branch probabilities from representative traces (the paper's
-//!   "profiling information" input).
+//!   "profiling information" input). Each call plans its walk of the
+//!   loop-region tree once and reuses it for every input vector.
 //! * [`trace`] — seeded zero-mean Gaussian input sequences (the paper's
 //!   trace methodology).
 //! * [`measure`] — end-to-end measurement: expected number of cycles,

@@ -77,13 +77,17 @@ struct TraceResult {
     mismatch: bool,
 }
 
+/// The behavioral golden model and its initial memory image, built once
+/// per measurement.
+type Golden<'p> = (&'p hls_lang::Program, &'p hls_lang::MemImage);
+
 /// Runs one input vector through the simulator (and, when `golden` is
 /// given, the behavioral interpreter) and reports its contribution.
 fn run_trace(
     sim: &StgSimulator<'_>,
     vec: &[(String, Value)],
     mem_init: &HashMap<String, Vec<Value>>,
-    golden: Option<&hls_lang::Program>,
+    golden: Option<Golden<'_>>,
     cycle_limit: u64,
 ) -> Result<TraceResult, MeasureError> {
     let inputs: Vec<(&str, Value)> = vec.iter().map(|(n, v)| (n.as_str(), *v)).collect();
@@ -94,11 +98,8 @@ fn run_trace(
             detail: e.to_string(),
         })?;
     let mut mismatch = false;
-    if let Some(p) = golden {
-        let image = hls_lang::MemImage {
-            contents: mem_init.clone(),
-        };
-        let want = hls_lang::interp::run(p, &inputs, &image, 10_000_000).map_err(|e| {
+    if let Some((p, image)) = golden {
+        let want = hls_lang::interp::run(p, &inputs, image, 10_000_000).map_err(|e| {
             MeasureError::Golden {
                 vector: format!("{vec:?}"),
                 detail: e.to_string(),
@@ -140,14 +141,14 @@ pub fn measure(
 
 /// [`measure`] with an explicit worker count.
 ///
-/// Traces are independent (each run owns its simulator state and the
-/// memory image is cloned per trace), so they fan out over
-/// `parallelism` scoped threads in contiguous chunks. Per-trace results
-/// are merged **in trace order**, so the result — including the
-/// floating-point mean and the choice of reported error when several
-/// traces fail — is bit-identical to the serial run for any worker
-/// count. `parallelism <= 1` takes the serial path with a single
-/// shared simulator.
+/// The STG is compiled into one [`StgSimulator`] and the golden memory
+/// image is built once; both are immutable and shared by every trace.
+/// Traces are independent (each run owns its register file and
+/// memories), so they fan out over `parallelism` scoped threads in
+/// contiguous chunks. Per-trace results are merged **in trace order**,
+/// so the result — including the floating-point mean and the choice of
+/// reported error when several traces fail — is bit-identical to the
+/// serial run for any worker count. `parallelism <= 1` runs serially.
 ///
 /// # Errors
 ///
@@ -162,11 +163,15 @@ pub fn measure_with(
     cycle_limit: u64,
     parallelism: usize,
 ) -> Result<Measurement, MeasureError> {
+    let sim = &StgSimulator::new(g, stg);
+    let image = golden.map(|_| hls_lang::MemImage {
+        contents: mem_init.clone(),
+    });
+    let golden = golden.zip(image.as_ref());
     let per_trace: Vec<TraceResult> = if parallelism <= 1 || vectors.len() <= 1 {
-        let sim = StgSimulator::new(g, stg);
         vectors
             .iter()
-            .map(|vec| run_trace(&sim, vec, mem_init, golden, cycle_limit))
+            .map(|vec| run_trace(sim, vec, mem_init, golden, cycle_limit))
             .collect::<Result<_, _>>()?
     } else {
         let chunk = vectors.len().div_ceil(parallelism);
@@ -174,9 +179,8 @@ pub fn measure_with(
         std::thread::scope(|s| {
             for (vs, out) in vectors.chunks(chunk).zip(slots.chunks_mut(chunk)) {
                 s.spawn(move || {
-                    let sim = StgSimulator::new(g, stg);
                     for (vec, slot) in vs.iter().zip(out.iter_mut()) {
-                        *slot = Some(run_trace(&sim, vec, mem_init, golden, cycle_limit));
+                        *slot = Some(run_trace(sim, vec, mem_init, golden, cycle_limit));
                     }
                 });
             }

@@ -3,7 +3,7 @@
 use cdfg::{Cdfg, OpKind, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use stg::{OpInst, Stg, ValRef};
+use stg::{OpInst, StateId, Stg, ValRef};
 
 /// Errors raised by STG simulation. Any of these indicates a scheduler
 /// bug (the STG is self-contained by construction) or a runaway design.
@@ -43,7 +43,47 @@ pub struct SimOutcome {
     pub cycles: u64,
 }
 
+/// Where a compiled operand comes from.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    Const(Value),
+    /// Index into the run's input values.
+    Input(usize),
+    /// Register-file slot of an operation instance.
+    Slot(usize),
+}
+
+/// One issued operation: its kind, the slot it commits to, and its
+/// operands as a range of `StgSimulator::operands`.
+#[derive(Debug)]
+struct SimOp {
+    kind: OpKind,
+    dest: usize,
+    operands: std::ops::Range<usize>,
+}
+
+/// One outgoing edge: the `(slot, want)` conditions, the target state
+/// index and the `(from_slot, to_slot)` register transfers.
+#[derive(Debug)]
+struct SimTransition {
+    when: Vec<(usize, bool)>,
+    target: StateId,
+    renames: Vec<(usize, usize)>,
+}
+
+#[derive(Debug)]
+struct SimState {
+    ops: Vec<SimOp>,
+    transitions: Vec<SimTransition>,
+}
+
 /// Cycle-accurate simulator for a scheduled STG.
+///
+/// [`StgSimulator::new`] compiles the STG once: every operation instance
+/// it references gets a dense register-file slot, and every state
+/// becomes a flat op list plus slot-addressed transitions. A run then
+/// does no hashing and allocates nothing per operation, so one compiled
+/// simulator serves any number of runs (it is `Sync`).
 ///
 /// # Example
 ///
@@ -70,14 +110,71 @@ pub struct SimOutcome {
 #[derive(Debug)]
 pub struct StgSimulator<'a> {
     g: &'a Cdfg,
-    stg: &'a Stg,
+    states: Vec<SimState>,
+    operands: Vec<Operand>,
+    /// Slot → instance, for error messages.
+    insts: Vec<OpInst>,
+    start: StateId,
+    stop: StateId,
 }
 
 impl<'a> StgSimulator<'a> {
-    /// Creates a simulator for `stg`, which must have been scheduled from
-    /// `g`.
-    pub fn new(g: &'a Cdfg, stg: &'a Stg) -> Self {
-        StgSimulator { g, stg }
+    /// Compiles `stg`, which must have been scheduled from `g`, into a
+    /// simulator.
+    pub fn new<'s>(g: &'a Cdfg, stg: &'s Stg) -> Self {
+        let mut slots: HashMap<&'s OpInst, usize> = HashMap::new();
+        let mut insts: Vec<OpInst> = Vec::new();
+        let mut slot = |inst: &'s OpInst| -> usize {
+            *slots.entry(inst).or_insert_with(|| {
+                insts.push(inst.clone());
+                insts.len() - 1
+            })
+        };
+        let mut operands = Vec::new();
+        let states = stg
+            .states()
+            .iter()
+            .map(|st| SimState {
+                ops: st
+                    .ops
+                    .iter()
+                    .map(|op| {
+                        let first = operands.len();
+                        operands.extend(op.operands.iter().map(|o| match o {
+                            ValRef::Const(v) => Operand::Const(*v),
+                            ValRef::Input(i) => Operand::Input(i.index()),
+                            ValRef::Inst(inst) => Operand::Slot(slot(inst)),
+                        }));
+                        SimOp {
+                            kind: g.op(op.inst.op).kind(),
+                            dest: slot(&op.inst),
+                            operands: first..operands.len(),
+                        }
+                    })
+                    .collect(),
+                transitions: st
+                    .transitions
+                    .iter()
+                    .map(|t| SimTransition {
+                        when: t.when.iter().map(|(i, w)| (slot(i), *w)).collect(),
+                        target: t.target,
+                        renames: t
+                            .renames
+                            .iter()
+                            .map(|(from, to)| (slot(from), slot(to)))
+                            .collect(),
+                    })
+                    .collect(),
+            })
+            .collect();
+        StgSimulator {
+            g,
+            states,
+            operands,
+            insts,
+            start: stg.start(),
+            stop: stg.stop(),
+        }
     }
 
     /// Runs one input vector to STOP.
@@ -115,29 +212,31 @@ impl<'a> StgSimulator<'a> {
             })
             .collect();
         let mut outputs: Vec<Value> = vec![0; self.g.outputs().len()];
-        let mut registry: HashMap<OpInst, Value> = HashMap::new();
+        let mut regs: Vec<Option<Value>> = vec![None; self.insts.len()];
+        let mut vals: Vec<Value> = Vec::new();
+        let mut moved: Vec<Option<Value>> = Vec::new();
+        let missing = |slot: usize, state: StateId| format!("{} in {state}", self.insts[slot]);
 
-        let mut state = self.stg.start();
+        let mut state = self.start;
         let mut cycles: u64 = 0;
-        while state != self.stg.stop() {
+        while state != self.stop {
             if cycles >= cycle_limit {
                 return Err(SimError::CycleLimit(cycle_limit));
             }
             cycles += 1;
-            let st = self.stg.state(state);
+            let st = &self.states[state.index()];
             for op in &st.ops {
-                let mut vals = Vec::with_capacity(op.operands.len());
-                for o in &op.operands {
-                    vals.push(match o {
-                        ValRef::Const(v) => *v,
-                        ValRef::Input(i) => input_vals[i.index()],
-                        ValRef::Inst(inst) => *registry
-                            .get(inst)
-                            .ok_or_else(|| SimError::MissingValue(format!("{inst} in {state}")))?,
+                vals.clear();
+                for o in &self.operands[op.operands.clone()] {
+                    vals.push(match *o {
+                        Operand::Const(v) => v,
+                        Operand::Input(i) => input_vals[i],
+                        Operand::Slot(s) => {
+                            regs[s].ok_or_else(|| SimError::MissingValue(missing(s, state)))?
+                        }
                     });
                 }
-                let kind = self.g.op(op.inst.op).kind();
-                let result = match kind {
+                let result = match op.kind {
                     // Scheduled pass-throughs are register transfers of
                     // their single resolved source.
                     OpKind::Pass | OpKind::Select => vals[0],
@@ -158,16 +257,17 @@ impl<'a> StgSimulator<'a> {
                     }
                     k => k.eval(&vals, None),
                 };
-                registry.insert(op.inst.clone(), result);
+                regs[op.dest] = Some(result);
             }
-            // Select the transition whose condition combination matches.
+            // Select the first transition whose condition combination
+            // matches.
             let mut chosen = None;
             'outer: for t in &st.transitions {
-                for (inst, want) in &t.when {
-                    let v = *registry.get(inst).ok_or_else(|| {
-                        SimError::MissingValue(format!("condition {inst} in {state}"))
+                for &(s, want) in &t.when {
+                    let v = regs[s].ok_or_else(|| {
+                        SimError::MissingValue(format!("condition {}", missing(s, state)))
                     })?;
-                    if (v != 0) != *want {
+                    if (v != 0) != want {
                         continue 'outer;
                     }
                 }
@@ -175,20 +275,17 @@ impl<'a> StgSimulator<'a> {
                 break;
             }
             let t = chosen.ok_or_else(|| SimError::NoTransition(state.to_string()))?;
-            // Register transfers on the edge, applied atomically.
-            if !t.renames.is_empty() {
-                let moved: Vec<(OpInst, Option<Value>)> = t
-                    .renames
-                    .iter()
-                    .map(|(from, to)| (to.clone(), registry.get(from).copied()))
-                    .collect();
-                for (from, _) in &t.renames {
-                    registry.remove(from);
-                }
-                for (to, v) in moved {
-                    if let Some(v) = v {
-                        registry.insert(to, v);
-                    }
+            // Register transfers on the edge, applied atomically: read
+            // every source, clear every source, then write each target
+            // whose source held a value.
+            moved.clear();
+            moved.extend(t.renames.iter().map(|&(from, _)| regs[from]));
+            for &(from, _) in &t.renames {
+                regs[from] = None;
+            }
+            for (&(_, to), v) in t.renames.iter().zip(&moved) {
+                if v.is_some() {
+                    regs[to] = *v;
                 }
             }
             state = t.target;
@@ -218,6 +315,7 @@ mod tests {
     use cdfg::analysis::BranchProbs;
     use hls_lang::Program;
     use hls_resources::{Allocation, FuClass, Library};
+    use stg::{StateId, Transition};
     use wavesched::{schedule, Mode, SchedConfig};
 
     fn run_design(src: &str, mode: Mode, alloc: Allocation, inputs: &[(&str, i64)]) -> SimOutcome {
@@ -338,6 +436,186 @@ mod tests {
         );
         assert_eq!(out.outputs["o"], 43);
         assert_eq!(out.mems["M"], vec![0, 42, 0, 0]);
+    }
+
+    const GCD: &str = "design gcd { input x, y; output g; var a = x; var b = y;
+        while (a != b) { if (a > b) { a = a - b; } else { b = b - a; } } g = a; }";
+
+    /// GCD scheduled speculatively: a loop, a branch inside it, and
+    /// fold-edge renames, so every error path has something to corrupt.
+    fn gcd_stg() -> (Cdfg, Stg) {
+        let g = hls_lang::lower::compile(&Program::parse(GCD).unwrap()).unwrap();
+        let r = schedule(
+            &g,
+            &Library::dac98(),
+            &Allocation::new()
+                .with(FuClass::Subtracter, 2)
+                .with(FuClass::Comparator, 1)
+                .with(FuClass::EqComparator, 2),
+            &BranchProbs::new(),
+            &SchedConfig::new(Mode::Speculative),
+        )
+        .unwrap();
+        (g, r.stg)
+    }
+
+    fn run_gcd(g: &Cdfg, stg: &Stg, cycle_limit: u64) -> Result<SimOutcome, SimError> {
+        StgSimulator::new(g, stg).run(&[("x", 54), ("y", 24)], &HashMap::new(), cycle_limit)
+    }
+
+    /// Removes every scheduled op that produces `inst`.
+    fn drop_producers(stg: &mut Stg, inst: &OpInst) {
+        for i in 0..stg.states().len() {
+            let st = stg.state_mut(StateId(i as u32));
+            st.ops.retain(|o| o.inst != *inst);
+        }
+    }
+
+    /// Working states other than the start state, in index order: the
+    /// corruptions below land there so the messages name a later state.
+    fn later_states(stg: &Stg) -> impl Iterator<Item = StateId> + '_ {
+        (0..stg.states().len())
+            .map(|i| StateId(i as u32))
+            .filter(move |&s| s != stg.start() && s != stg.stop())
+    }
+
+    #[test]
+    fn dropped_operand_producer_is_a_missing_value() {
+        let (g, mut stg) = gcd_stg();
+        // The first instance a later state both produces and reads.
+        let read = later_states(&stg)
+            .find_map(|s| {
+                let st = stg.state(s);
+                st.ops
+                    .iter()
+                    .flat_map(|o| &o.operands)
+                    .find_map(|v| match v {
+                        ValRef::Inst(i) if st.ops.iter().any(|o| o.inst == *i) => Some(i.clone()),
+                        _ => None,
+                    })
+            })
+            .unwrap();
+        drop_producers(&mut stg, &read);
+        let err = run_gcd(&g, &stg, 1_000).unwrap_err();
+        assert_eq!(err, SimError::MissingValue("op5_1 in S2".into()), "{read}");
+    }
+
+    #[test]
+    fn dropped_condition_producer_is_a_missing_value() {
+        let (g, mut stg) = gcd_stg();
+        // The first condition of a later state that no op reads and no
+        // rename moves.
+        let used = |i: &OpInst| {
+            stg.states().iter().any(|s| {
+                s.ops
+                    .iter()
+                    .any(|o| o.operands.contains(&ValRef::Inst(i.clone())))
+                    || s.transitions
+                        .iter()
+                        .any(|t| t.renames.iter().any(|(a, b)| a == i || b == i))
+            })
+        };
+        let cond = later_states(&stg)
+            .flat_map(|s| &stg.state(s).transitions)
+            .flat_map(|t| &t.when)
+            .map(|(i, _)| i.clone())
+            .find(|i| !used(i))
+            .unwrap();
+        drop_producers(&mut stg, &cond);
+        let err = run_gcd(&g, &stg, 1_000).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::MissingValue("condition op3_1 in S2".into()),
+            "{cond}"
+        );
+    }
+
+    #[test]
+    fn removed_matching_transition_is_no_transition() {
+        let (g, mut stg) = gcd_stg();
+        // The first later state with a choice loses its first transition,
+        // the one gcd(54, 24) takes there (54 > 24, then 30 > 24).
+        let s = later_states(&stg)
+            .find(|&s| stg.state(s).transitions.len() > 1)
+            .unwrap();
+        stg.state_mut(s).transitions.remove(0);
+        let err = run_gcd(&g, &stg, 1_000).unwrap_err();
+        assert_eq!(err, SimError::NoTransition("S2".into()));
+    }
+
+    #[test]
+    fn renames_are_atomic() {
+        // S0 computes x's and y's sums; its edge swaps their registers
+        // and moves an instance nothing produced onto x's; S2 outputs
+        // both. Renames applied one by one would lose a value.
+        let src = "design d { input a, b; output x, y; x = a + 1; y = b + 1; }";
+        let g = hls_lang::lower::compile(&Program::parse(src).unwrap()).unwrap();
+        let output = |name: &str| {
+            g.ops()
+                .iter()
+                .find(|o| matches!(o.kind(), OpKind::Output(i) if g.outputs()[i.index()].1 == name))
+                .unwrap()
+        };
+        let inst = |op: &cdfg::Op| OpInst::new(op.id(), vec![]);
+        let issue = |op: &cdfg::Op, operands: Vec<ValRef>| stg::ScheduledOp {
+            inst: inst(op),
+            operands,
+            latency: 1,
+            guard_str: "1".into(),
+        };
+        // An op reading only inputs and constants, issued with them.
+        let issue_leaf = |op: &cdfg::Op| {
+            let operands = op.ports().iter().map(|p| match g.op(p.src()).kind() {
+                OpKind::Input(i) => ValRef::Input(i),
+                OpKind::Const(v) => ValRef::Const(v),
+                k => panic!("unexpected source {k}"),
+            });
+            issue(op, operands.collect())
+        };
+        let (out_x, out_y) = (output("x"), output("y"));
+        let sum_x = g.op(out_x.ports()[0].src());
+        let sum_y = g.op(out_y.ports()[0].src());
+        let ghost = OpInst::new(sum_x.id(), vec![7]);
+
+        let mut stg = Stg::new("swap");
+        let (start, stop) = (stg.start(), stg.stop());
+        let s2 = stg.add_state();
+        let s0 = stg.state_mut(start);
+        s0.ops = vec![issue_leaf(sum_x), issue_leaf(sum_y)];
+        s0.transitions = vec![Transition {
+            when: vec![],
+            target: s2,
+            renames: vec![
+                (inst(sum_x), inst(sum_y)),
+                (inst(sum_y), inst(sum_x)),
+                (ghost, inst(sum_x)),
+            ],
+        }];
+        let s2 = stg.state_mut(s2);
+        s2.ops = vec![
+            issue(out_x, vec![ValRef::Inst(inst(sum_x))]),
+            issue(out_y, vec![ValRef::Inst(inst(sum_y))]),
+        ];
+        s2.transitions = vec![Transition {
+            when: vec![],
+            target: stop,
+            renames: vec![],
+        }];
+
+        let out = StgSimulator::new(&g, &stg)
+            .run(&[("a", 10), ("b", 20)], &HashMap::new(), 10)
+            .unwrap();
+        assert_eq!(
+            (out.outputs["x"], out.outputs["y"], out.cycles),
+            (21, 11, 2)
+        );
+    }
+
+    #[test]
+    fn cycle_limit_is_reported() {
+        let (g, stg) = gcd_stg();
+        let err = run_gcd(&g, &stg, 3).unwrap_err();
+        assert_eq!(err, SimError::CycleLimit(3));
     }
 
     #[test]

@@ -46,18 +46,24 @@ else
     echo "clippy not installed; skipping lint check"
 fi
 
-echo "== table1 determinism under SPEC_MEASURE_THREADS=4"
+echo "== perfbench tests (table1 workload against the table1 binary)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+echo "== table1 and fig6 determinism under SPEC_MEASURE_THREADS=4"
 # The measurement harness may fan trace simulation out over a thread
 # pool; the paper tables must come out byte-identical regardless of
 # thread count, or the artifact is not reproducible.
-t1_serial=$(mktemp)
-t1_parallel=$(mktemp)
-trap 'rm -f "$t1_serial" "$t1_parallel"' EXIT
-cargo run -q --release --offline -p spec-bench --bin table1 > "$t1_serial"
-SPEC_MEASURE_THREADS=4 \
-    cargo run -q --release --offline -p spec-bench --bin table1 > "$t1_parallel"
-diff "$t1_serial" "$t1_parallel" \
-    || { echo "table1 output depends on SPEC_MEASURE_THREADS"; exit 1; }
+serial=$(mktemp)
+parallel=$(mktemp)
+trap 'rm -f "$serial" "$parallel"' EXIT
+for bin in table1 fig6; do
+    SPEC_MEASURE_THREADS=1 \
+        cargo run -q --release --offline -p spec-bench --bin "$bin" > "$serial"
+    SPEC_MEASURE_THREADS=4 \
+        cargo run -q --release --offline -p spec-bench --bin "$bin" > "$parallel"
+    diff "$serial" "$parallel" \
+        || { echo "$bin output depends on SPEC_MEASURE_THREADS"; exit 1; }
+done
 
 echo "== bench smoke (1 iteration per entry)"
 for target in substrates schedulers simulation; do
