@@ -10,7 +10,10 @@
 //! * an AST with a pretty-printer (`Display`) that reparses to the same
 //!   program;
 //! * a reference **interpreter** ([`interp::run`]) — the functional golden
-//!   model against which every schedule is verified;
+//!   model against which every schedule is verified. It walks the AST
+//!   after resolving every name to a slot once per program
+//!   ([`interp::Resolved`]), so checking many traces pays for name
+//!   lookup once;
 //! * a **CDFG lowering** ([`lower::compile`]) producing the
 //!   [`cdfg::Cdfg`] consumed by the schedulers, with if/else merged
 //!   through select operations and loop state turned into loop-carried
@@ -60,6 +63,6 @@ mod parse;
 mod token;
 
 pub use ast::{BinOp, Expr, Program, Stmt, UnOp};
-pub use interp::{ExecError, ExecOutcome, MemImage};
+pub use interp::{ExecError, ExecOutcome, MemImage, Resolved};
 pub use lower::CompileError;
 pub use parse::ParseError;

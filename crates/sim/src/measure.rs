@@ -6,6 +6,7 @@ use crate::exec::profile_cdfg;
 use crate::sim::StgSimulator;
 use cdfg::analysis::BranchProbs;
 use cdfg::{Cdfg, Value};
+use hls_lang::{ExecError, Resolved};
 use std::collections::HashMap;
 use stg::Stg;
 
@@ -77,9 +78,9 @@ struct TraceResult {
     mismatch: bool,
 }
 
-/// The behavioral golden model and its initial memory image, built once
-/// per measurement.
-type Golden<'p> = (&'p hls_lang::Program, &'p hls_lang::MemImage);
+/// The behavioral golden model, resolved once per measurement (or the
+/// error resolving it raised), and its initial memory image.
+type Golden<'g, 'p> = (&'g Result<Resolved<'p>, ExecError>, &'g hls_lang::MemImage);
 
 /// Runs one input vector through the simulator (and, when `golden` is
 /// given, the behavioral interpreter) and reports its contribution.
@@ -87,7 +88,7 @@ fn run_trace(
     sim: &StgSimulator<'_>,
     vec: &[(String, Value)],
     mem_init: &HashMap<String, Vec<Value>>,
-    golden: Option<Golden<'_>>,
+    golden: Option<Golden<'_, '_>>,
     cycle_limit: u64,
 ) -> Result<TraceResult, MeasureError> {
     let inputs: Vec<(&str, Value)> = vec.iter().map(|(n, v)| (n.as_str(), *v)).collect();
@@ -98,12 +99,14 @@ fn run_trace(
             detail: e.to_string(),
         })?;
     let mut mismatch = false;
-    if let Some((p, image)) = golden {
-        let want = hls_lang::interp::run(p, &inputs, image, 10_000_000).map_err(|e| {
-            MeasureError::Golden {
-                vector: format!("{vec:?}"),
-                detail: e.to_string(),
-            }
+    if let Some((model, image)) = golden {
+        let want = match model {
+            Ok(m) => m.run(&inputs, image, 10_000_000),
+            Err(e) => Err(e.clone()),
+        }
+        .map_err(|e| MeasureError::Golden {
+            vector: format!("{vec:?}"),
+            detail: e.to_string(),
         })?;
         mismatch = want.outputs != out.outputs || want.mems != out.mems;
     }
@@ -141,8 +144,11 @@ pub fn measure(
 
 /// [`measure`] with an explicit worker count.
 ///
-/// The STG is compiled into one [`StgSimulator`] and the golden memory
-/// image is built once; both are immutable and shared by every trace.
+/// The STG is compiled into one [`StgSimulator`], the golden program is
+/// resolved once ([`Resolved`]) and its memory image built once; all are
+/// immutable and shared by every trace. A golden program whose names do
+/// not resolve fails the first trace that simulates, as a golden-model
+/// error.
 /// Traces are independent (each run owns its register file and
 /// memories), so they fan out over `parallelism` scoped threads in
 /// contiguous chunks. Per-trace results are merged **in trace order**,
@@ -164,10 +170,13 @@ pub fn measure_with(
     parallelism: usize,
 ) -> Result<Measurement, MeasureError> {
     let sim = &StgSimulator::new(g, stg);
-    let image = golden.map(|_| hls_lang::MemImage {
-        contents: mem_init.clone(),
+    let golden = golden.map(|p| {
+        let image = hls_lang::MemImage {
+            contents: mem_init.clone(),
+        };
+        (Resolved::new(p), image)
     });
-    let golden = golden.zip(image.as_ref());
+    let golden = golden.as_ref().map(|(model, image)| (model, image));
     let per_trace: Vec<TraceResult> = if parallelism <= 1 || vectors.len() <= 1 {
         vectors
             .iter()
@@ -279,6 +288,43 @@ mod tests {
         );
         assert!(spec.best_cycles <= ws.best_cycles);
         assert!(spec.worst_cycles <= ws.worst_cycles);
+    }
+
+    #[test]
+    fn golden_name_error_fails_the_first_trace() {
+        let g = hls_lang::lower::compile(&Program::parse(GCD).unwrap()).unwrap();
+        // The same design with an output that collides with an input: it
+        // parses, but the golden model rejects its names.
+        let golden = Program::parse(&GCD.replace("output g;", "output g, x;")).unwrap();
+        let r = schedule(
+            &g,
+            &Library::dac98(),
+            &gcd_alloc(),
+            &BranchProbs::default(),
+            &SchedConfig::new(Mode::Speculative),
+        )
+        .unwrap();
+        let vectors = crate::trace::positive_vectors(9, &["x", "y"], 24.0, 63, 6);
+        for threads in [1, 4] {
+            let e = measure_with(
+                &g,
+                &r.stg,
+                &vectors,
+                &HashMap::new(),
+                Some(&golden),
+                1_000_000,
+                threads,
+            )
+            .unwrap_err();
+            assert_eq!(
+                e,
+                MeasureError::Golden {
+                    vector: format!("{:?}", vectors[0]),
+                    detail: "duplicate declaration of `x`".into(),
+                },
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
